@@ -60,14 +60,6 @@ LADDER = {
 }
 
 
-def ladder_name(caps: Capability) -> str:
-    """Best-matching ladder rung name for a capability set."""
-    for name, flags in reversed(list(LADDER.items())):
-        if caps & ~flags == Capability(0) and caps == flags:
-            return name
-    return str(caps)
-
-
 @dataclass(frozen=True, slots=True)
 class Capabilities:
     """Effective capabilities: the enabled ladder ∧ platform support.

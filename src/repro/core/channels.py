@@ -344,8 +344,7 @@ class Channel:
                     name=f"ch{self.tag}/ipc-sync",
                     duration=cluster.cost.ipc_event_sync_overhead,
                     deps=[self._colo_copy],
-                    lane=self.dst.device.lane, kind="sync",
-                    tracer=cluster.tracer)
+                    lane=self.dst.device.lane, kind="sync")
         sync.submit()
         unpack = dctx.launch_kernel(
             self.s_dst, self.nbytes,

@@ -23,7 +23,6 @@ message cannot leave until the *slowest* member has staged.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError

@@ -57,7 +57,7 @@ class CudaContext:
         return f"{self.lane}/{what}#{next(self._seq)}"
 
     def _task(self, **kw) -> Task:
-        t = Task(self.cluster.engine, tracer=self.cluster.tracer, **kw)
+        t = Task(self.cluster.engine, **kw)
         t.submit()
         return t
 

@@ -17,20 +17,22 @@ CLI) and every layer reports in::
   tracks per-rank queue depths;
 * the **exchange layer** histograms round latency and counts per-method
   traffic;
-* every **resource** records its busy intervals, from which
-  :mod:`repro.metrics.timeline` derives per-link-class utilization
-  timelines and an ASCII heatmap.
+* every **resource** reports its busy intervals (the engine's
+  ``resource_idle`` hook), from which :mod:`repro.metrics.timeline` derives
+  per-link-class utilization timelines and an ASCII heatmap.
 
 Everything is deterministic: snapshots and event logs from two identical
 runs are byte-identical (virtual clock only, no wall time), so they diff
 cleanly and feed the ``repro.bench compare`` regression gate.  When not
 enabled the instrumentation is a single attribute check per call site —
-zero overhead, like ``--sanitize``.
+zero overhead, like ``--sanitize``.  ``SimCluster.create`` subscribes the
+bundle to the engine (:meth:`repro.sim.Engine.subscribe`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections import defaultdict
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .events import EventLog
 from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -40,20 +42,31 @@ from .timeline import (LINK_CLASSES, class_timelines, heatmap_for_cluster,
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import Engine
+    from ..sim.resources import Resource
 
 #: bump when the METRICS_<config>.json layout changes incompatibly
 METRICS_SCHEMA = "repro-metrics/1"
 
 
 class Metrics:
-    """The per-cluster telemetry bundle: a registry plus an event log."""
+    """The per-cluster telemetry bundle: a registry, an event log and
+    every resource's closed busy intervals."""
 
-    __slots__ = ("engine", "registry", "events")
+    __slots__ = ("engine", "registry", "events", "intervals")
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.registry = MetricsRegistry()
         self.events = EventLog(engine)
+        #: closed busy episodes ``(start, end)`` per resource, over the
+        #: whole run (:meth:`clear` keeps them, like ``Resource.busy_time``)
+        self.intervals: Dict["Resource", List[Tuple[float, float]]] = \
+            defaultdict(list)
+
+    def resource_idle(self, resource: "Resource", start: float,
+                      end: float) -> None:
+        """Engine hook: ``resource`` was busy over ``[start, end]``."""
+        self.intervals[resource].append((start, end))
 
     # convenience pass-throughs so call sites read naturally
     def counter(self, name: str, **labels) -> Counter:

@@ -1,10 +1,10 @@
 """Per-link utilization timelines from recorded busy intervals.
 
-When metrics are enabled, every :class:`~repro.sim.resources.Resource`
-records its busy episodes as ``(start, end)`` intervals (the engine-level
-``record_intervals`` switch).  This module turns those into the per-link
-views the paper's evaluation reasons in (NVLink vs X-Bus vs PCIe vs IB,
-Figs. 9-12):
+When metrics are enabled, :class:`~repro.metrics.Metrics` collects every
+:class:`~repro.sim.resources.Resource`'s busy episodes as ``(start, end)``
+intervals (its ``resource_idle`` engine hook).  This module turns those into
+the per-link views the paper's evaluation reasons in (NVLink vs X-Bus vs
+PCIe vs IB, Figs. 9-12):
 
 * :func:`link_utilization_summary` — per link class: summed and
   *interval-merged* ("any link of this class busy") seconds, so overlapped
@@ -18,39 +18,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..sim.analysis import (_iter_cluster_resources, classify_resource,
+from ..sim.analysis import (recorded_intervals, resources_by_class,
                             world_resources)
 from ..sim.resources import Resource
-from ..sim.trace import merge_intervals
+from ..sim.trace import busy_intervals, merge_intervals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cluster import SimCluster
 
 #: the hardware data-path classes (excludes engines/threads)
 LINK_CLASSES: Tuple[str, ...] = ("nvlink", "xbus", "pcie", "nic")
-
-
-def busy_intervals(resource: Resource,
-                   now: Optional[float] = None) -> List[Tuple[float, float]]:
-    """Closed busy episodes plus the currently-open one, if any."""
-    out = list(resource.intervals)
-    if resource._last_busy_start is not None:
-        out.append((resource._last_busy_start,
-                    resource.engine.now if now is None else now))
-    return out
-
-
-def _grouped_resources(cluster: "SimCluster",
-                       extra: Optional[Sequence[Resource]] = None,
-                       classes: Optional[Sequence[str]] = None
-                       ) -> Dict[str, List[Resource]]:
-    groups: Dict[str, List[Resource]] = {}
-    for r in _iter_cluster_resources(cluster) + list(extra or []):
-        cls = classify_resource(r.name)
-        if classes is not None and cls not in classes:
-            continue
-        groups.setdefault(cls, []).append(r)
-    return groups
 
 
 def link_utilization_summary(cluster: "SimCluster",
@@ -68,11 +45,12 @@ def link_utilization_summary(cluster: "SimCluster",
     """
     if window is None:
         window = cluster.now
+    recorded = recorded_intervals(cluster)
     out: Dict[str, dict] = {}
-    for cls, rs in sorted(_grouped_resources(cluster, extra, classes).items()):
+    for cls, rs in sorted(resources_by_class(cluster, extra, classes).items()):
         ivals: List[Tuple[float, float]] = []
         for r in rs:
-            ivals.extend(busy_intervals(r, now=window))
+            ivals.extend(busy_intervals(r, recorded, window))
         merged = merge_intervals(ivals)
         union_busy = sum(b - a for a, b in merged)
         busy = sum(r.busy_time for r in rs)
@@ -100,11 +78,12 @@ def class_timelines(cluster: "SimCluster",
     if window <= 0 or bins <= 0:
         return {}
     width = window / bins
+    recorded = recorded_intervals(cluster)
     out: Dict[str, List[float]] = {}
-    for cls, rs in sorted(_grouped_resources(cluster, extra, classes).items()):
+    for cls, rs in sorted(resources_by_class(cluster, extra, classes).items()):
         occ = [0.0] * bins
         for r in rs:
-            for a, b in busy_intervals(r, now=window):
+            for a, b in busy_intervals(r, recorded, window):
                 a, b = max(a, 0.0), min(b, window)
                 if b <= a:
                     continue

@@ -48,6 +48,13 @@ class _ClusterRegistry:
 cluster_registry = _ClusterRegistry()
 
 
+def _env_switch(name: str) -> Optional[str]:
+    """The value of environment variable ``name``, or None when it is
+    unset, empty or ``"0"`` (an instrument's "off")."""
+    value = os.environ.get(name, "")
+    return None if value in ("", "0") else value
+
+
 class SimNode:
     """Live state for one node: link/NIC resources and devices."""
 
@@ -164,10 +171,13 @@ class SimCluster:
         run the whole suite sanitized without touching call sites.
 
         ``metrics=True`` attaches a :class:`repro.metrics.Metrics` bundle
-        (counter/gauge/histogram registry plus a virtual-time event log)
-        and turns on per-resource busy-interval recording; the default
-        (``None``) consults ``REPRO_METRICS``.  Disabled, the
-        instrumentation costs one attribute check per call site.
+        (counter/gauge/histogram registry, a virtual-time event log and
+        per-resource busy intervals); the default (``None``) consults
+        ``REPRO_METRICS``.  Disabled, the instrumentation costs one
+        attribute check per call site.
+
+        The tracer, sanitizer and metrics bundle are attached here and
+        only here, each with :meth:`repro.sim.Engine.subscribe`.
 
         ``precheck=True`` runs the static plan verifier
         (:func:`repro.analyze.analyze_plan`) on every domain built over
@@ -190,22 +200,23 @@ class SimCluster:
             node.devices = [Device(cluster, node, local)
                             for local in range(machine.node.n_gpus)]
         if sanitize is None:
-            sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+            sanitize = _env_switch("REPRO_SANITIZE") is not None
         if sanitize:
             from ..sanitize import Sanitizer  # deferred: sanitize imports sim
             cluster.sanitizer = Sanitizer(cluster)
         if metrics is None:
-            metrics = os.environ.get("REPRO_METRICS", "") not in ("", "0")
+            metrics = _env_switch("REPRO_METRICS") is not None
         if metrics:
             from ..metrics import Metrics  # deferred: metrics imports sim
             cluster.metrics = Metrics(cluster.engine)
-            cluster.engine.record_intervals = True
+        for instrument in (cluster.tracer, cluster.sanitizer, cluster.metrics):
+            if instrument is not None:
+                cluster.engine.subscribe(instrument)
         if precheck is None:
-            precheck = os.environ.get("REPRO_PRECHECK", "") not in ("", "0")
+            precheck = _env_switch("REPRO_PRECHECK") is not None
         cluster.precheck = precheck
         if faults is None:
-            env = os.environ.get("REPRO_FAULTS", "")
-            faults = env if env not in ("", "0") else None
+            faults = _env_switch("REPRO_FAULTS")
         if faults is not None:
             from ..faults import FaultInjector, load_fault_plan  # deferred
             cluster.faults = FaultInjector(cluster, load_fault_plan(faults))

@@ -1,4 +1,4 @@
-"""The sanitizer orchestrator: one observer over the whole substrate.
+"""The sanitizer orchestrator: one instrument over the whole substrate.
 
 A :class:`Sanitizer` attaches to a :class:`~repro.runtime.cluster.SimCluster`
 (``SimCluster.create(..., sanitize=True)``) and wires three checkers behind
@@ -13,9 +13,10 @@ one :class:`~repro.sanitize.report.SanitizerReport`:
 * the **lifetime checker** (:mod:`repro.sanitize.lifetime`) fed by the
   buffer allocator.
 
-Attaching sets ``engine.retain_dag`` (clocks need dependency edges) and
-installs the sanitizer as the engine observer: every task start computes
-its happens-before clock and checks its declared accesses; every run to
+Constructing one sets ``engine.retain_dag`` (clocks need dependency edges);
+``SimCluster.create`` then subscribes it to the engine
+(:meth:`~repro.sim.Engine.subscribe`): every task start computes its
+happens-before clock and checks its declared accesses; every run to
 quiescence is a global synchronization fence that resets the epoch, which
 bounds memory across arbitrarily many exchange rounds.
 
@@ -25,13 +26,13 @@ materialize end-of-job findings — unmatched messages and leaked requests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING
 
 from ..sim.tasks import Task
 from .hb import ClockTracker
 from .lifetime import LifetimeChecker
 from .mpi import MpiChecker
-from .races import AccessSpec, RaceDetector
+from .races import RaceDetector
 from .report import SanitizerReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,11 +50,10 @@ class Sanitizer:
         self.mpi = MpiChecker(self.report)
         self.lifetime = LifetimeChecker(self.report, cluster.engine)
         self._finalized = False
-        # Clocks require dependency edges; the observer hooks task starts.
+        # Clocks require dependency edges.
         cluster.engine.retain_dag = True
-        cluster.engine.observer = self
 
-    # -- engine observer protocol ----------------------------------------------
+    # -- engine hooks ----------------------------------------------------------
     def task_started(self, task: Task) -> None:
         self.hb.task_started(task)
         self.races.task_started(task)
@@ -62,12 +62,6 @@ class Sanitizer:
         """Global sync fence: the driving thread observed full completion."""
         self.hb.reset_epoch()
         self.races.reset_epoch()
-
-    # -- annotation entry point --------------------------------------------------
-    def annotate(self, task: Task, reads: Iterable[AccessSpec] = (),
-                 writes: Iterable[AccessSpec] = ()) -> None:
-        """Declare the buffers (or buffer boxes) ``task`` reads/writes."""
-        self.races.annotate(task, reads, writes)
 
     # -- end of run ---------------------------------------------------------------
     def finalize(self) -> SanitizerReport:
@@ -84,19 +78,3 @@ class Sanitizer:
     @property
     def ok(self) -> bool:
         return self.report.ok
-
-
-def maybe_annotate(cluster_or_none: Optional["SimCluster"], task: Task,
-                   reads: Iterable[AccessSpec] = (),
-                   writes: Iterable[AccessSpec] = ()) -> None:
-    """Annotate ``task`` when ``cluster_or_none`` carries a live sanitizer.
-
-    The hot-path helper the runtime layers call: free when sanitizing is
-    off (one attribute check), and keeps those layers import-free of this
-    package.
-    """
-    if cluster_or_none is None:
-        return
-    san = cluster_or_none.sanitizer
-    if san is not None:
-        san.races.annotate(task, reads, writes)

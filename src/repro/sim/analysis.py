@@ -15,10 +15,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .resources import Resource
-from .trace import Tracer
+from .trace import Tracer, busy_intervals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cluster import SimCluster
@@ -71,18 +71,35 @@ class UtilizationRow:
         }
 
 
-def _iter_cluster_resources(cluster: "SimCluster") -> List[Resource]:
-    out: List[Resource] = []
+def resources_by_class(cluster: "SimCluster",
+                       extra: Optional[Sequence[Resource]] = None,
+                       classes: Optional[Sequence[str]] = None
+                       ) -> Dict[str, List[Resource]]:
+    """The cluster's links, NIC rails and device engines, plus ``extra``,
+    grouped by :func:`classify_resource` (only ``classes``, if given)."""
+    resources: List[Resource] = []
     for node in cluster.nodes:
-        out.extend(node._link_res.values())
+        resources.extend(node._link_res.values())
         for attr in ("nic_out", "nic_in"):
             r = getattr(node, attr)
             if r is not None:
-                out.append(r)
+                resources.append(r)
         for dev in node.devices:
-            out.extend([dev.kernel_engine, dev.copy_d2h, dev.copy_h2d,
-                        dev.default_stream_res])
-    return out
+            resources.extend([dev.kernel_engine, dev.copy_d2h, dev.copy_h2d,
+                              dev.default_stream_res])
+    groups: Dict[str, List[Resource]] = {}
+    for r in resources + list(extra or []):
+        cls = classify_resource(r.name)
+        if classes is None or cls in classes:
+            groups.setdefault(cls, []).append(r)
+    return groups
+
+
+def recorded_intervals(cluster: "SimCluster"
+                       ) -> Dict[Resource, List[Tuple[float, float]]]:
+    """Closed busy intervals per resource, as the cluster's metrics bundle
+    collected them (none when metrics are off)."""
+    return cluster.metrics.intervals if cluster.metrics is not None else {}
 
 
 def utilization_report(cluster: "SimCluster",
@@ -98,9 +115,7 @@ def utilization_report(cluster: "SimCluster",
     """
     if window is None:
         window = cluster.now
-    groups: Dict[str, List[Resource]] = {}
-    for r in _iter_cluster_resources(cluster) + list(extra or []):
-        groups.setdefault(classify_resource(r.name), []).append(r)
+    groups = resources_by_class(cluster, extra)
     rows = []
     for cls in sorted(groups):
         rs = groups[cls]
@@ -186,16 +201,16 @@ def _counter_events(cluster: "SimCluster",
     intervals), and cumulative *bytes* series derived from the metrics
     event log (MPI deliveries and memcpys by kind).
     """
-    from ..metrics.timeline import busy_intervals  # lazy: metrics uses sim
     events: List[dict] = [{"ph": "M", "name": "process_name", "pid": pid,
                            "tid": 0, "args": {"name": "counters"}}]
+    recorded = recorded_intervals(cluster)
     # Occupancy per class: +1/-1 edges over all busy intervals.
     edges: Dict[str, List[Tuple[float, int]]] = {}
-    for r in _iter_cluster_resources(cluster) + list(extra or []):
-        cls = classify_resource(r.name)
-        for a, b in busy_intervals(r, now=cluster.now):
-            edges.setdefault(cls, []).append((a, +1))
-            edges[cls].append((b, -1))
+    for cls, rs in resources_by_class(cluster, extra).items():
+        for r in rs:
+            for a, b in busy_intervals(r, recorded, cluster.now):
+                edges.setdefault(cls, []).append((a, +1))
+                edges[cls].append((b, -1))
     for cls in sorted(edges):
         level, last_t = 0, None
         for t, d in sorted(edges[cls]):

@@ -5,6 +5,9 @@ or tasks.  Higher layers schedule plain callbacks at absolute or relative
 virtual times.  Determinism is guaranteed by breaking timestamp ties with a
 monotonically increasing sequence number, so two events at the same instant
 always fire in scheduling order.
+
+Instruments attach with :meth:`Engine.subscribe`; the engine holds their
+hooks and the task and resource layers fire them.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ class Engine:
     """
 
     __slots__ = ("_now", "_heap", "_seq", "_running", "_events_processed",
-                 "_cancelled", "retain_dag", "max_events", "observer",
-                 "record_intervals")
+                 "_cancelled", "retain_dag", "max_events",
+                 "task_started_hooks", "task_finished_hooks",
+                 "resource_idle_hooks", "on_quiescence_hooks")
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -52,14 +56,28 @@ class Engine:
         #: dispatching this many events (a buggy self-rescheduling callback
         #: fails with a diagnostic instead of hanging the process).
         self.max_events: Optional[int] = None
-        #: optional hook object (e.g. a sanitizer) notified of task starts
-        #: (``task_started(task)``) and of each run to quiescence
-        #: (``on_quiescence()``).
-        self.observer = None
-        #: when True, every Resource appends its busy episodes to
-        #: ``Resource.intervals`` — the raw material for the metrics
-        #: layer's per-link utilization timelines.  Off by default.
-        self.record_intervals: bool = False
+        #: the hooks :meth:`subscribe` registered, in subscription order;
+        #: empty when nothing is attached (a bare run loops over ``()``)
+        self.task_started_hooks: Tuple[Callable, ...] = ()
+        self.task_finished_hooks: Tuple[Callable, ...] = ()
+        self.resource_idle_hooks: Tuple[Callable, ...] = ()
+        self.on_quiescence_hooks: Tuple[Callable, ...] = ()
+
+    def subscribe(self, instrument) -> None:
+        """Attach an instrument: register whichever of these hooks it defines.
+
+        ``task_started(task)`` fires when a task is granted its resources,
+        ``task_finished(task)`` after its action ran and before its
+        dependents are released, ``resource_idle(resource, start, end)``
+        when a resource's last slot is vacated, closing the busy episode
+        ``[start, end]``, and ``on_quiescence()`` each time the queue drains.
+        """
+        for hook in ("task_started", "task_finished", "resource_idle",
+                     "on_quiescence"):
+            fn = getattr(instrument, hook, None)
+            if fn is not None:
+                attr = f"{hook}_hooks"
+                setattr(self, attr, getattr(self, attr) + (fn,))
 
     # -- clock ----------------------------------------------------------------
     @property
@@ -160,17 +178,16 @@ class Engine:
         finally:
             self._running = False
         if not self._heap:
-            self._cancelled.clear()
-        if self.observer is not None and not self._heap:
-            # True quiescence: every scheduled effect has been applied, and
-            # the (single) driving thread is about to observe that fact — a
-            # global synchronization fence for happens-before purposes.
-            self.observer.on_quiescence()
+            self._quiesce()
         return self._now
 
     def step(self) -> bool:
-        """Run a single event.  Returns False if the queue was empty."""
-        while self._heap:
+        """Run a single event.  Returns False if the queue was empty.
+
+        Ends like :meth:`run`: an empty queue afterwards is quiescence.
+        """
+        ran = False
+        while self._heap and not ran:
             when, seq, cb = heapq.heappop(self._heap)
             if seq in self._cancelled:
                 self._cancelled.discard(seq)
@@ -178,5 +195,15 @@ class Engine:
             self._now = when
             self._events_processed += 1
             cb()
-            return True
-        return False
+            ran = True
+        if not self._heap:
+            self._quiesce()
+        return ran
+
+    def _quiesce(self) -> None:
+        # True quiescence: every scheduled effect has been applied, and the
+        # (single) driving thread is about to observe that fact — a global
+        # synchronization fence for happens-before purposes.
+        self._cancelled.clear()
+        for hook in self.on_quiescence_hooks:
+            hook()

@@ -52,7 +52,7 @@ class Resource:
 
     __slots__ = ("engine", "name", "capacity", "bandwidth", "bandwidth_scale",
                  "_in_use", "_waiters", "_id", "busy_time", "_last_busy_start",
-                 "wait_time", "wait_count", "intervals")
+                 "wait_time", "wait_count")
 
     def __init__(self, engine: Engine, name: str, capacity: int = 1,
                  bandwidth: Optional[float] = None) -> None:
@@ -77,9 +77,6 @@ class Resource:
         # while this resource had no free slot, and how many requests waited.
         self.wait_time = 0.0
         self.wait_count = 0
-        #: closed busy episodes as (start, end); populated only when the
-        #: engine's ``record_intervals`` switch is on (metrics layer)
-        self.intervals: List[Tuple[float, float]] = []
 
     # -- state ------------------------------------------------------------
     @property
@@ -112,9 +109,10 @@ class Resource:
             raise SimulationError(f"over-released resource {self.name}")
         self._in_use -= 1
         if self._in_use == 0 and self._last_busy_start is not None:
-            self.busy_time += self.engine.now - self._last_busy_start
-            if self.engine.record_intervals:
-                self.intervals.append((self._last_busy_start, self.engine.now))
+            now = self.engine.now
+            self.busy_time += now - self._last_busy_start
+            for hook in self.engine.resource_idle_hooks:
+                hook(self, self._last_busy_start, now)
             self._last_busy_start = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

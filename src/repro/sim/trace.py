@@ -10,7 +10,9 @@ and :meth:`Tracer.to_rows` produces machine-readable rows for CSV output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from .resources import Resource
 
 
 def merge_intervals(intervals: Sequence[Tuple[float, float]]
@@ -18,7 +20,7 @@ def merge_intervals(intervals: Sequence[Tuple[float, float]]
     """Union of half-open time intervals: sorted, overlaps coalesced.
 
     Empty and inverted intervals are dropped.  Shared by the per-kind busy
-    accounting here and the per-link timelines in
+    accounting here, critical-path coverage and the per-link timelines in
     :mod:`repro.metrics.timeline`.
     """
     ivals = sorted((a, b) for a, b in intervals if b > a)
@@ -29,6 +31,17 @@ def merge_intervals(intervals: Sequence[Tuple[float, float]]
                 out[-1] = (out[-1][0], b)
         else:
             out.append((a, b))
+    return out
+
+
+def busy_intervals(resource: Resource,
+                   recorded: Mapping[Resource, Sequence[Tuple[float, float]]],
+                   now: float) -> List[Tuple[float, float]]:
+    """``resource``'s closed busy episodes from ``recorded`` plus its
+    currently-open one, if any, cut at ``now``."""
+    out = list(recorded.get(resource, ()))
+    if resource._last_busy_start is not None:
+        out.append((resource._last_busy_start, now))
     return out
 
 
@@ -50,7 +63,8 @@ class Span:
 
 
 class Tracer:
-    """Collects spans during a simulation run."""
+    """Collects spans during a simulation run; attached with
+    :meth:`repro.sim.Engine.subscribe`."""
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
@@ -62,6 +76,14 @@ class Tracer:
         if self.enabled:
             self.spans.append(Span(lane, kind, label, start, end, nbytes,
                                    queue_wait))
+
+    def task_finished(self, task) -> None:
+        """Engine hook: record ``task``'s span if it has a lane."""
+        if task.lane:
+            start = 0.0 if task.start_time is None else task.start_time
+            self.record(task.lane, task.kind or "op", task.name, start,
+                        task.completion_time, task.bytes,
+                        queue_wait=task.queue_wait)
 
     def clear(self) -> None:
         self.spans.clear()

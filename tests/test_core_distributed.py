@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import Capability, Dim3
+from repro import Dim3
 from repro.errors import ConfigurationError
 from repro.core.methods import ExchangeMethod
 

@@ -58,7 +58,6 @@ class TestDeadlockDetection:
         eng = Engine()
         never = Signal("never-fired")
         t = Task(eng, name="stuck", duration=1.0, deps=[never]).submit()
-        from repro.runtime.cluster import SimCluster
         cluster = repro.SimCluster.create(repro.summit_machine(1))
         with pytest.raises(DeadlockError):
             cluster.run_and_check([t])

@@ -27,6 +27,7 @@ from repro.metrics import (
 from repro.mpi.world import MpiWorld
 from repro.radius import Radius
 from repro.runtime.cluster import SimCluster
+from repro.sim.analysis import recorded_intervals
 from repro.sim.engine import Engine
 from repro.topology.summit import summit_machine
 
@@ -182,17 +183,17 @@ class TestOptIn:
         monkeypatch.delenv("REPRO_METRICS", raising=False)
         _, cluster = _exchange_once()
         assert cluster.metrics is None
-        assert cluster.engine.record_intervals is False
-        # Zero overhead: no busy intervals accumulate anywhere.
-        for node in cluster.nodes:
-            for res in node._link_res.values():
-                assert res.intervals == []
+        # Zero overhead: nothing is subscribed to collect busy intervals.
+        assert cluster.engine.resource_idle_hooks == ()
+        assert recorded_intervals(cluster) == {}
 
     def test_env_var_enables(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "1")
         _, cluster = _exchange_once()
         assert cluster.metrics is not None
-        assert cluster.engine.record_intervals is True
+        assert cluster.engine.resource_idle_hooks == (
+            cluster.metrics.resource_idle,)
+        assert any(cluster.metrics.intervals.values())
 
     def test_env_zero_means_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "0")

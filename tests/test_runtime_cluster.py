@@ -128,3 +128,54 @@ class TestNicContention:
         three = timed(3)
         assert two == pytest.approx(one, rel=0.10)     # parallel rails
         assert three > 1.6 * one                        # third one queues
+
+
+class TestInstrumentAttachment:
+    def test_bare_cluster_hook_tuples_are_empty(self):
+        eng = SimCluster.create(summit_machine(1), trace=False,
+                                sanitize=False, metrics=False).engine
+        assert eng.task_started_hooks == ()
+        assert eng.task_finished_hooks == ()
+        assert eng.resource_idle_hooks == ()
+        assert eng.on_quiescence_hooks == ()
+
+    @pytest.mark.expect_findings
+    def test_all_instruments_see_one_run(self):
+        """Tracer, metrics and sanitizer all attach to one engine: every
+        finished laned task becomes a span, and the sanitizer still
+        catches a seeded race (a missing stream_wait_event)."""
+        cluster = SimCluster.create(summit_machine(1), trace=True,
+                                    metrics=True, sanitize=True)
+
+        class Laned:
+            def __init__(self):
+                self.names = []
+
+            def task_finished(self, task):
+                if task.lane:
+                    self.names.append(task.name)
+
+        laned = Laned()
+        cluster.engine.subscribe(laned)
+        ctx = repro.MpiWorld.create(cluster, 6).ranks[0].ctx
+        dev = cluster.device(0)
+        buf = dev.alloc(1024)
+        s1, s2 = ctx.create_stream(dev), ctx.create_stream(dev)
+        ctx.launch_kernel(s1, 1024, what="writer", writes=[buf])
+        ctx.launch_kernel(s2, 1024, what="reader", reads=[buf])
+        cluster.run()
+        assert laned.names
+        assert [s.label for s in cluster.tracer.spans] == laned.names
+        assert any(cluster.metrics.intervals.values())
+        races = cluster.finalize().by_checker("race")
+        assert any(buf.label in f.subjects for f in races)
+
+    def test_exchange_joins_are_not_traced(self):
+        cluster = SimCluster.create(summit_machine(1), trace=True)
+        world = repro.MpiWorld.create(cluster, 2)
+        dd = repro.DistributedDomain(world, size=repro.Dim3(16, 16, 16),
+                                     radius=1).realize()
+        dd.exchange()
+        labels = [s.label for s in cluster.tracer.spans]
+        assert labels
+        assert not any(label.startswith("xdone/") for label in labels)

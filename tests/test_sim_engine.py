@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Engine
+from repro.sim import Engine, Resource, Task
 
 
 class TestScheduling:
@@ -172,3 +172,75 @@ class TestLivelockGuard:
                 eng.schedule(1.0, lambda i=i: fired.append(i))
             eng.run(max_events=50)
         assert len(fired) == 120
+
+
+class _Recorder:
+    """Defines every engine hook and logs each call under its name."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def task_started(self, task):
+        self.log.append(("task_started", self.name, task.name))
+
+    def task_finished(self, task):
+        self.log.append(("task_finished", self.name, task.name))
+
+    def resource_idle(self, resource, start, end):
+        self.log.append(("resource_idle", self.name, resource.name,
+                         start, end))
+
+    def on_quiescence(self):
+        self.log.append(("on_quiescence", self.name))
+
+
+class TestSubscribe:
+    def test_bare_engine_has_no_hooks(self):
+        eng = Engine()
+        assert eng.task_started_hooks == ()
+        assert eng.task_finished_hooks == ()
+        assert eng.resource_idle_hooks == ()
+        assert eng.on_quiescence_hooks == ()
+
+    def test_registers_only_the_hooks_an_object_defines(self):
+        class StartsOnly:
+            def task_started(self, task):
+                pass
+
+            def on_quiescence(self):
+                pass
+
+        eng, obj = Engine(), StartsOnly()
+        eng.subscribe(obj)
+        assert eng.task_started_hooks == (obj.task_started,)
+        assert eng.on_quiescence_hooks == (obj.on_quiescence,)
+        assert eng.task_finished_hooks == ()
+        assert eng.resource_idle_hooks == ()
+
+    def test_hooks_fan_out_in_subscription_order(self):
+        eng, log = Engine(), []
+        eng.subscribe(_Recorder("a", log))
+        eng.subscribe(_Recorder("b", log))
+        r = Resource(eng, "link")
+        Task(eng, name="t", duration=2.0, resources=[r]).submit()
+        eng.run()
+        assert log == [
+            ("task_started", "a", "t"), ("task_started", "b", "t"),
+            ("resource_idle", "a", "link", 0.0, 2.0),
+            ("resource_idle", "b", "link", 0.0, 2.0),
+            ("task_finished", "a", "t"), ("task_finished", "b", "t"),
+            ("on_quiescence", "a"), ("on_quiescence", "b"),
+        ]
+
+    def test_step_draining_the_queue_is_quiescence(self):
+        eng, log = Engine(), []
+        eng.subscribe(_Recorder("q", log))
+        first = eng.schedule(1.0, lambda: None)
+        eng.schedule(2.0, lambda: None)
+        assert eng.step()
+        assert log == []                    # one event still queued
+        eng.cancel(first)                   # already fired: a no-op
+        assert eng.step()
+        assert log == [("on_quiescence", "q")]
+        # like run(), quiescence forgets cancellations
+        assert eng._cancelled == set()

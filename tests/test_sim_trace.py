@@ -6,16 +6,22 @@ from repro.sim import Engine, Task, Tracer
 from repro.sim.trace import merge_intervals, render_gantt
 
 
-def traced(eng, tracer, name, dur, lane, kind, deps=()):
-    t = Task(eng, name=name, duration=dur, deps=deps, lane=lane, kind=kind,
-             tracer=tracer)
+def traced_engine():
+    """An engine with a subscribed tracer."""
+    eng, tr = Engine(), Tracer()
+    eng.subscribe(tr)
+    return eng, tr
+
+
+def traced(eng, name, dur, lane, kind, deps=()):
+    t = Task(eng, name=name, duration=dur, deps=deps, lane=lane, kind=kind)
     return t.submit()
 
 
 class TestTracer:
     def test_records_spans(self):
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "a", 1.0, "gpu0", "pack")
+        eng, tr = traced_engine()
+        traced(eng, "a", 1.0, "gpu0", "pack")
         eng.run()
         assert len(tr.spans) == 1
         s = tr.spans[0]
@@ -23,27 +29,27 @@ class TestTracer:
         assert s.duration == 1.0
 
     def test_lanes_first_appearance_order(self):
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "a", 1.0, "gpu1", "pack")
-        traced(eng, tr, "b", 2.0, "gpu0", "pack")
+        eng, tr = traced_engine()
+        traced(eng, "a", 1.0, "gpu1", "pack")
+        traced(eng, "b", 2.0, "gpu0", "pack")
         eng.run()
         # Completion order: a (gpu1) then b (gpu0).
         assert tr.lanes() == ["gpu1", "gpu0"]
 
     def test_by_kind_and_totals(self):
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "a", 1.0, "g", "pack")
-        traced(eng, tr, "b", 2.0, "g", "mpi")
-        traced(eng, tr, "c", 3.0, "h", "mpi")
+        eng, tr = traced_engine()
+        traced(eng, "a", 1.0, "g", "pack")
+        traced(eng, "b", 2.0, "g", "mpi")
+        traced(eng, "c", 3.0, "h", "mpi")
         eng.run()
         assert set(tr.by_kind()) == {"pack", "mpi"}
         assert tr.total_time_by_kind()["mpi"] == pytest.approx(5.0)
 
     def test_makespan_and_overlap(self):
-        eng, tr = Engine(), Tracer()
-        a = traced(eng, tr, "a", 2.0, "g", "pack")
-        traced(eng, tr, "b", 2.0, "h", "pack")       # concurrent
-        traced(eng, tr, "c", 1.0, "g", "mpi", deps=[a])
+        eng, tr = traced_engine()
+        a = traced(eng, "a", 2.0, "g", "pack")
+        traced(eng, "b", 2.0, "h", "pack")       # concurrent
+        traced(eng, "c", 1.0, "g", "mpi", deps=[a])
         eng.run()
         assert tr.makespan() == pytest.approx(3.0)
         assert tr.overlap_fraction() == pytest.approx(5.0 / 3.0)
@@ -55,29 +61,29 @@ class TestTracer:
         assert tr.lanes() == []
 
     def test_clear_and_disable(self):
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "a", 1.0, "g", "pack")
+        eng, tr = traced_engine()
+        traced(eng, "a", 1.0, "g", "pack")
         eng.run()
         tr.clear()
         assert tr.spans == []
         tr.enabled = False
-        traced(eng, tr, "b", 1.0, "g", "pack")
+        traced(eng, "b", 1.0, "g", "pack")
         eng.run()
         assert tr.spans == []
 
     def test_rows_sorted_by_start(self):
-        eng, tr = Engine(), Tracer()
-        a = traced(eng, tr, "a", 1.0, "g", "pack")
-        traced(eng, tr, "b", 1.0, "h", "mpi", deps=[a])
+        eng, tr = traced_engine()
+        a = traced(eng, "a", 1.0, "g", "pack")
+        traced(eng, "b", 1.0, "h", "mpi", deps=[a])
         eng.run()
         rows = tr.to_rows()
         assert rows[0][2] == "a" and rows[1][2] == "b"
         assert rows[0][3] <= rows[1][3]
 
     def test_rows_tie_broken_by_lane(self):
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "z-first", 1.0, "z", "pack")
-        traced(eng, tr, "a-later", 1.0, "a", "pack")
+        eng, tr = traced_engine()
+        traced(eng, "z-first", 1.0, "z", "pack")
+        traced(eng, "a-later", 1.0, "a", "pack")
         eng.run()
         # Both start at t=0: lane is the documented tiebreak.
         assert [r[0] for r in tr.to_rows()] == ["a", "z"]
@@ -103,17 +109,17 @@ class TestMergeIntervals:
 
 class TestBusyTimeByKind:
     def test_concurrent_spans_not_double_counted(self):
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "a", 2.0, "g", "pack")
-        traced(eng, tr, "b", 2.0, "h", "pack")       # fully concurrent
+        eng, tr = traced_engine()
+        traced(eng, "a", 2.0, "g", "pack")
+        traced(eng, "b", 2.0, "h", "pack")       # fully concurrent
         eng.run()
         assert tr.total_time_by_kind()["pack"] == pytest.approx(4.0)
         assert tr.busy_time_by_kind()["pack"] == pytest.approx(2.0)
 
     def test_serialized_matches_total(self):
-        eng, tr = Engine(), Tracer()
-        a = traced(eng, tr, "a", 1.0, "g", "mpi")
-        traced(eng, tr, "b", 2.0, "g", "mpi", deps=[a])
+        eng, tr = traced_engine()
+        a = traced(eng, "a", 1.0, "g", "mpi")
+        traced(eng, "b", 2.0, "g", "mpi", deps=[a])
         eng.run()
         assert tr.busy_time_by_kind()["mpi"] == pytest.approx(3.0)
         assert tr.busy_time_by_kind()["mpi"] == pytest.approx(
@@ -125,9 +131,9 @@ class TestBusyTimeByKind:
 
 class TestGantt:
     def test_renders_all_lanes(self):
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "a", 1.0, "n0/g0", "pack")
-        traced(eng, tr, "b", 2.0, "n0/g1", "peer")
+        eng, tr = traced_engine()
+        traced(eng, "a", 1.0, "n0/g0", "pack")
+        traced(eng, "b", 2.0, "n0/g1", "peer")
         eng.run()
         out = render_gantt(tr, width=40)
         assert "n0/g0" in out and "n0/g1" in out
@@ -140,40 +146,40 @@ class TestGantt:
     def test_explicit_empty_lane_list(self):
         # Regression: lanes=[] used to reach max() over an empty sequence
         # and raise ValueError instead of rendering the empty placeholder.
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "a", 1.0, "g", "pack")
+        eng, tr = traced_engine()
+        traced(eng, "a", 1.0, "g", "pack")
         eng.run()
         assert render_gantt(tr, lanes=[]) == "(empty timeline)"
 
     def test_unknown_lane_renders_blank_row(self):
         # An explicitly requested lane with no spans is still a valid row.
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "a", 1.0, "g", "pack")
+        eng, tr = traced_engine()
+        traced(eng, "a", 1.0, "g", "pack")
         eng.run()
         out = render_gantt(tr, width=20, lanes=["no-such-lane"])
         assert "no-such-lane" in out and "P" not in out.split("legend")[0]
 
     def test_lane_subset(self):
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "a", 1.0, "keep", "pack")
-        traced(eng, tr, "b", 1.0, "drop", "pack")
+        eng, tr = traced_engine()
+        traced(eng, "a", 1.0, "keep", "pack")
+        traced(eng, "b", 1.0, "drop", "pack")
         eng.run()
         out = render_gantt(tr, width=30, lanes=["keep"])
         assert "keep" in out and "drop" not in out
 
     def test_unknown_kind_char(self):
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "a", 1.0, "g", "weird-kind")
+        eng, tr = traced_engine()
+        traced(eng, "a", 1.0, "g", "weird-kind")
         eng.run()
         assert "#" in render_gantt(tr, width=20)
 
     def test_time_range_excludes_outside_spans(self):
         # Regression: spans entirely outside an explicit time_range used to
         # be clamped onto the chart edges instead of dropped.
-        eng, tr = Engine(), Tracer()
-        a = traced(eng, tr, "early", 1.0, "g", "pack")
-        b = traced(eng, tr, "inside", 1.0, "g", "mpi", deps=[a])
-        traced(eng, tr, "late", 1.0, "g", "kernel", deps=[b])
+        eng, tr = traced_engine()
+        a = traced(eng, "early", 1.0, "g", "pack")
+        b = traced(eng, "inside", 1.0, "g", "mpi", deps=[a])
+        traced(eng, "late", 1.0, "g", "kernel", deps=[b])
         eng.run()
         chart = render_gantt(tr, width=30,
                              time_range=(1.0, 2.0)).split("legend")[0]
@@ -182,8 +188,8 @@ class TestGantt:
         assert "K" not in chart        # starts exactly at the window end
 
     def test_time_range_clips_straddling_span(self):
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "long", 10.0, "g", "pack")
+        eng, tr = traced_engine()
+        traced(eng, "long", 10.0, "g", "pack")
         eng.run()
         out = render_gantt(tr, width=20, time_range=(4.0, 6.0))
         row = out.split("\n")[1]
@@ -192,8 +198,8 @@ class TestGantt:
         assert row.count("P") == 20
 
     def test_time_range_keeps_zero_duration_boundary_span(self):
-        eng, tr = Engine(), Tracer()
-        traced(eng, tr, "instant", 0.0, "g", "sync")
+        eng, tr = traced_engine()
+        traced(eng, "instant", 0.0, "g", "sync")
         eng.run()
         out = render_gantt(tr, width=20, time_range=(0.0, 1.0))
         assert "s" in out.split("legend")[0]
