@@ -163,7 +163,10 @@ class RaceDetector:
                     cur_clock: int) -> None:
         if self.hb.happens_before(prev, cur_clock):
             return
-        key = (id(prev), id(cur), id(buf))
+        # Task ids, not object ids: an overwritten history entry frees its
+        # task, and a later task may reuse the address.  The buffer stays
+        # alive in ``_history``, so its id is stable for the epoch.
+        key = (prev._id, cur._id, id(buf))
         if key in self._reported:
             return
         self._reported.add(key)

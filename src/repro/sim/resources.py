@@ -20,11 +20,19 @@ stall later requests whose resources are free (a "work-conserving FIFO").
 This mirrors how independent DMA engines and links proceed in parallel on
 real hardware while transfers sharing a link queue up, and it is fully
 deterministic.
+
+A blocked request is *parked* on exactly one of its full resources rather
+than queued on all of them.  A release wakes only the requests parked on the
+released resources; each is granted or re-parked on a resource that is still
+full.  A request parked elsewhere sits on a full resource that the release
+did not touch, so it could not have been granted anyway: the grant policy
+above is unchanged, only the number of requests re-checked shrinks.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
@@ -68,6 +76,7 @@ class Resource:
         #: take 1/scale longer.  Nothing in the base simulator writes it.
         self.bandwidth_scale: float = 1.0
         self._in_use = 0
+        #: blocked requests parked here; each is parked on one full resource
         self._waiters: List["AcquireRequest"] = []
         self._id = next(_resource_ids)
         # Utilization accounting (any slot held counts as busy).
@@ -127,8 +136,9 @@ class AcquireRequest:
 
     Created via :func:`acquire`.  When every requested resource has a free
     slot the request is *granted*: slots are taken and ``on_grant`` is
-    scheduled at the current instant.  The holder must later call
-    :meth:`release` exactly once.
+    scheduled at the current instant, then dropped (so a granted request
+    does not keep its holder alive through the callback).  The holder must
+    later call :meth:`release` exactly once.
     """
 
     __slots__ = ("resources", "on_grant", "seq", "granted", "released", "label",
@@ -137,7 +147,7 @@ class AcquireRequest:
     def __init__(self, resources: Sequence[Resource],
                  on_grant: Callable[[], None], label: str = "") -> None:
         self.resources = tuple(resources)
-        self.on_grant = on_grant
+        self.on_grant: Optional[Callable[[], None]] = on_grant
         self.seq = next(_request_seq)
         self.granted = False
         self.released = False
@@ -157,7 +167,7 @@ class AcquireRequest:
         return self.grant_time - self.request_time
 
     def _grantable(self) -> bool:
-        return all(r.free_slots > 0 for r in self.resources)
+        return all(r._in_use < r.capacity for r in self.resources)
 
     def _grant(self, engine: Engine) -> None:
         self.granted = True
@@ -173,8 +183,17 @@ class AcquireRequest:
         for r in self.resources:
             r._occupy()
         # Defer the callback through the event queue so grants triggered by a
-        # release all observe consistent resource state.
+        # release all observe consistent resource state.  Dropping it breaks
+        # the task -> request -> bound task method cycle.
         engine.schedule(0.0, self.on_grant)
+        self.on_grant = None
+
+    def _park(self) -> None:
+        """Queue on the first full resource (the request is not grantable)."""
+        for r in self.resources:
+            if r._in_use >= r.capacity:
+                r._waiters.append(self)
+                return
 
     def release(self) -> None:
         """Release all held slots and wake eligible waiters."""
@@ -208,32 +227,28 @@ def acquire(engine: Engine, resources: Sequence[Resource],
         req._grant(engine)
     else:
         req.blocked_on = tuple(r for r in req.resources if r.free_slots <= 0)
-        for r in req.resources:
-            r._waiters.append(req)
+        req.blocked_on[0]._waiters.append(req)
     return req
 
 
 def _wake_waiters(engine: Engine, released: Iterable[Resource]) -> None:
     """After a release, grant every now-satisfiable waiter in arrival order.
 
-    Scans only the waiter lists of the released resources; each candidate's
-    full resource set is re-checked so multi-resource atomicity holds.
+    Takes the requests parked on the released resources and re-checks them
+    in ``seq`` order, granting each one whose whole set has a free slot and
+    re-parking the rest on their first still-full resource.  Requests parked
+    on other resources stay put: their resource is full and nothing in this
+    wake frees a slot there, so re-checking them could not grant them.
     """
-    candidates: Dict[int, AcquireRequest] = {}
+    woken: List[AcquireRequest] = []
     for r in released:
-        for w in r._waiters:
-            if not w.granted:
-                candidates[w.seq] = w
-    for seq in sorted(candidates):
-        w = candidates[seq]
-        if not w.granted and w._grantable():
+        if r._waiters:
+            woken += r._waiters
+            r._waiters = []
+    if len(woken) > 1:
+        woken.sort(key=attrgetter("seq"))
+    for w in woken:
+        if w._grantable():
             w._grant(engine)
-            for r in w.resources:
-                try:
-                    r._waiters.remove(w)
-                except ValueError:
-                    pass
-    # Periodically compact waiter lists of released resources.
-    for r in released:
-        if len(r._waiters) > 32:
-            r._waiters = [w for w in r._waiters if not w.granted]
+        else:
+            w._park()

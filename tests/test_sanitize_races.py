@@ -9,11 +9,16 @@ PEER_MEMCPY channel orders its cross-device copy before the unpack with an
 event, and no-opping ``stream_wait_event`` makes the sanitizer light up.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 import repro
 from repro import Capability, Dim3
 from repro.cuda.runtime import CudaContext
+from repro.sanitize.races import RaceDetector
+from repro.sanitize.report import SanitizerReport
+from repro.sim import Engine, Task
 from repro.topology import summit_machine
 
 
@@ -71,6 +76,43 @@ class TestKernelLevel:
         ctx.launch_kernel(s2, 512, what="hi", writes=[(buf, (512, 512))])
         cluster.run()
         assert cluster.finalize().ok
+
+
+class TestDedupe:
+    """One finding per (earlier task, later task, buffer) triple."""
+
+    @pytest.mark.expect_findings
+    def test_two_writers_racing_one_reader_are_both_reported(self):
+        cluster, ctx, dev = make_ctx()
+        buf = dev.alloc(1024)
+        s1, s2, s3 = (ctx.create_stream(dev) for _ in range(3))
+        ctx.launch_kernel(s1, 512, what="lo", writes=[(buf, (0, 512))])
+        ctx.launch_kernel(s2, 512, what="hi", writes=[(buf, (512, 512))])
+        ctx.launch_kernel(s3, 1024, what="reader", reads=[buf])
+        cluster.run()
+        races = cluster.finalize().by_checker("race")
+        assert [f.kind for f in races] == ["write-read-race"] * 2
+        writers = sorted(f.tasks[0].split("/")[-1].split("#")[0] for f in races)
+        assert writers == ["hi", "lo"]
+        assert len({f.tasks[1] for f in races}) == 1
+
+    def test_freed_earlier_task_does_not_hide_a_later_race(self):
+        """The key survives the earlier task being freed and its address
+        handed to a new task: both races are reported."""
+        never_ordered = SimpleNamespace(happens_before=lambda prev, clock: False)
+        report = SanitizerReport()
+        det = RaceDetector(never_ordered, report)
+        eng = Engine()
+        buf = SimpleNamespace(label="buf")
+        box = ("B", 0, 64)
+        cur = Task(eng, "cur", 0.0)
+        prev = Task(eng, "w1", 0.0)
+        det._check_pair(buf, prev, "w", box, cur, "r", box, 0)
+        del prev                      # freed by reference counting ...
+        prev = Task(eng, "w2", 0.0)   # ... and CPython reuses the address
+        det._check_pair(buf, prev, "w", box, cur, "r", box, 0)
+        assert [f.tasks for f in report.findings] == [("w1", "cur"),
+                                                      ("w2", "cur")]
 
 
 class TestExchangeLevel:

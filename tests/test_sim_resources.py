@@ -1,10 +1,14 @@
 """Tests for resource contention and atomic multi-resource acquisition."""
 
+import contextlib
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Resource
-from repro.sim.resources import acquire
+from repro.sim import Engine, Resource, resources as resources_mod
+from repro.sim.resources import AcquireRequest, acquire
 
 
 def hold(eng, resources, duration, log, name):
@@ -155,3 +159,134 @@ class TestScale:
         eng.run()
         order = [n for (n, k, _) in log if k == "start"]
         assert order == list(range(200))
+
+
+class TestParking:
+    """Each blocked request waits on exactly one full resource."""
+
+    def test_waiter_reparks_until_its_other_resource_frees(self):
+        eng = Engine()
+        a, b = Resource(eng, "a"), Resource(eng, "b")
+        log = []
+        hold(eng, [a], 1.0, log, "x")
+        hold(eng, [b], 2.0, log, "y")
+        w = hold(eng, [a, b], 1.0, log, "w")
+        assert (a._waiters, b._waiters) == ([w], [])
+        eng.run(until=1.5)
+        # a freed at t=1 but b is still full: w moved over to b
+        assert (a._waiters, b._waiters) == ([], [w])
+        eng.run()
+        assert ("w", "start", 2.0) in log
+
+    def test_capacity_two_with_three_waiters(self):
+        eng = Engine()
+        r = Resource(eng, "r", capacity=2)
+        log = []
+        hold(eng, [r], 1.0, log, "h1")
+        hold(eng, [r], 2.0, log, "h2")
+        ws = [hold(eng, [r], 1.0, log, n) for n in ("w1", "w2", "w3")]
+        assert r._waiters == ws
+        eng.run(until=1.5)
+        assert r._waiters == ws[1:]     # re-parked in arrival order
+        eng.run()
+        starts = {n: t for (n, k, t) in log if k == "start"}
+        assert (starts["w1"], starts["w2"], starts["w3"]) == (1.0, 2.0, 2.0)
+
+    def test_reparks_on_a_resource_drained_earlier_in_the_same_wake(self):
+        eng = Engine()
+        a, b = Resource(eng, "a"), Resource(eng, "b")
+        log = []
+        hold(eng, [a, b], 1.0, log, "h")
+        w1 = hold(eng, [a], 1.0, log, "w1")
+        w2 = hold(eng, [b, a], 1.0, log, "w2")
+        assert (a._waiters, b._waiters) == ([w1], [w2])
+        eng.run(until=1.5)
+        # one wake took both lists; w1 refilled a, so w2 parks on a
+        assert (a._waiters, b._waiters) == ([w2], [])
+        eng.run()
+        starts = {n: t for (n, k, t) in log if k == "start"}
+        assert (starts["w1"], starts["w2"]) == (1.0, 2.0)
+
+    def test_granted_request_drops_its_callback(self):
+        eng = Engine()
+        a = Resource(eng, "a")
+        held = acquire(eng, [a], lambda: None, "held")
+        waiting = acquire(eng, [a], lambda: None, "waiting")
+        assert held.on_grant is None and waiting.on_grant is not None
+        eng.run()
+        held.release()
+        assert waiting.granted and waiting.on_grant is None
+        eng.run()
+        waiting.release()
+
+
+def _scan_wake(queues):
+    """The reference grant policy: every blocked request queues on all its
+    resources, and a release re-checks every waiter of every released
+    resource in arrival order."""
+    def wake(engine, released):
+        candidates = {w.seq: w for r in released for w in queues[r._id]}
+        for seq in sorted(candidates):
+            w = candidates[seq]
+            if w._grantable():
+                w._grant(engine)
+                for r in w.resources:
+                    queues[r._id].remove(w)
+
+    def acquire_all_queues(engine, resources, on_grant, label=""):
+        req = AcquireRequest(tuple({r._id: r for r in resources}.values()),
+                             on_grant, label)
+        req.request_time = engine.now
+        if req._grantable():
+            req._grant(engine)
+        else:
+            req.blocked_on = tuple(r for r in req.resources if r.free_slots <= 0)
+            for r in req.resources:
+                queues[r._id].append(req)
+        return req
+    return wake, acquire_all_queues
+
+
+def _drive(capacities, stream, reference):
+    """Run ``stream`` of (arrival, resource indices, duration) requests;
+    return grant order with start times and per-resource accounting."""
+    eng = Engine()
+    res = [Resource(eng, f"r{i}", capacity=c) for i, c in enumerate(capacities)]
+    acq, patch = acquire, contextlib.nullcontext()
+    if reference:
+        wake, acq = _scan_wake({r._id: [] for r in res})
+        patch = mock.patch.object(resources_mod, "_wake_waiters", wake)
+    grants = []
+
+    def submit(i, idx, duration):
+        def on_grant():
+            grants.append((i, eng.now))
+            eng.schedule(duration, req.release)
+        req = acq(eng, [res[j] for j in idx], on_grant, label=str(i))
+
+    for i, (arrival, idx, duration) in enumerate(stream):
+        eng.schedule(arrival, lambda i=i, idx=idx, d=duration: submit(i, idx, d))
+    with patch:
+        eng.run()
+    assert not any(r._waiters or r.in_use for r in res)
+    return grants, [(r.busy_time, r.wait_time, r.wait_count) for r in res]
+
+
+@st.composite
+def request_streams(draw):
+    n = draw(st.integers(2, 5))
+    capacities = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    stream = draw(st.lists(st.tuples(
+        st.integers(0, 4),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
+        st.sampled_from((0, 1, 2))), min_size=1, max_size=30))
+    return capacities, stream
+
+
+class TestParkingMatchesScan:
+    @settings(max_examples=300, deadline=None)
+    @given(request_streams())
+    def test_same_grants_times_and_accounting(self, case):
+        capacities, stream = case
+        assert _drive(capacities, stream, reference=False) == \
+            _drive(capacities, stream, reference=True)
