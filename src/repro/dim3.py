@@ -45,6 +45,9 @@ class Dim3:
 
     # -- construction ------------------------------------------------------
     def __post_init__(self) -> None:
+        # Exact ints (the common case) need no per-component check.
+        if type(self.x) is int and type(self.y) is int and type(self.z) is int:
+            return
         for name in ("x", "y", "z"):
             v = getattr(self, name)
             if not isinstance(v, (int,)) or isinstance(v, bool):

@@ -1,5 +1,8 @@
 """Unit and property tests for repro.dim3.Dim3."""
 
+from enum import IntEnum
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,13 +31,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Dim3.of((1, 2))
 
-    def test_non_int_rejected(self):
-        with pytest.raises(TypeError):
-            Dim3(1.5, 2, 3)
+    @staticmethod
+    def with_component(axis, value):
+        args = {"x": 1, "y": 2, "z": 3}
+        args[axis] = value
+        return Dim3(**args)
 
-    def test_bool_rejected(self):
-        with pytest.raises(TypeError):
-            Dim3(True, 2, 3)
+    @pytest.mark.parametrize("value", [1.5, np.int64(1)], ids=["float", "np.int64"])
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_non_int_rejected(self, axis, value):
+        with pytest.raises(TypeError, match=f"Dim3.{axis} must be an int"):
+            self.with_component(axis, value)
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_bool_rejected(self, axis):
+        with pytest.raises(TypeError, match=f"Dim3.{axis} must be an int"):
+            self.with_component(axis, True)
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_int_subclass_accepted(self, axis):
+        class Size(IntEnum):
+            SEVEN = 7
+
+        d = self.with_component(axis, Size.SEVEN)
+        assert getattr(d, axis) == 7
 
     def test_zero_one(self):
         assert Dim3.zero() == Dim3(0, 0, 0)
