@@ -477,7 +477,10 @@ def _finding(kind: str, message: str, subjects: Iterable[str] = ()) -> Finding:
 
 def check_coverage(graph: MessageGraph, report: AnalysisReport) -> None:
     """Every ghost region sourced exactly once; incoming writes disjoint."""
-    dirs = [d.as_tuple() for d in exchange_directions(graph.radius)]
+    # A halo side s is filled by the neighbour at s sending in direction -s,
+    # so the expected receive sides are the negated send directions (they
+    # differ from the send directions when the radius is one-sided).
+    dirs = [(-d).as_tuple() for d in exchange_directions(graph.radius)]
     incoming: Dict[int, List[MessageEdge]] = defaultdict(list)
     for e in graph.edges:
         incoming[e.dst_sub].append(e)

@@ -1,4 +1,4 @@
-"""The event loop: a binary-heap calendar queue over virtual time.
+"""The event loop: a calendar queue over virtual time.
 
 :class:`Engine` is intentionally minimal — it knows nothing about resources
 or tasks.  Higher layers schedule plain callbacks at absolute or relative
@@ -6,15 +6,26 @@ virtual times.  Determinism is guaranteed by breaking timestamp ties with a
 monotonically increasing sequence number, so two events at the same instant
 always fire in scheduling order.
 
+Events live in two queues that together keep that one ``(when, seq)`` order.
+An event scheduled for the current instant goes on a FIFO lane (a deque);
+every other event goes on a binary heap.  The loop dispatches heap entries
+due at ``now`` first, then the lane, and only then advances the clock to the
+heap's head.  A heap entry due at ``now`` was scheduled before the clock
+reached ``now``, so its ``seq`` is smaller than every lane entry's: the two
+queues dispatch exactly as one heap would, while the many zero-delay events
+(deferred grants, zero-duration tasks) skip the heap.
+
 Instruments attach with :meth:`Engine.subscribe`; the engine holds their
 hooks and the task and resource layers fire them.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -35,14 +46,16 @@ class Engine:
     [1.0, 2.0]
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_running", "_events_processed",
-                 "_cancelled", "retain_dag", "max_events",
+    __slots__ = ("_now", "_heap", "_lane", "_seq", "_running",
+                 "_events_processed", "_cancelled", "retain_dag", "max_events",
                  "task_started_hooks", "task_finished_hooks",
                  "resource_idle_hooks", "on_quiescence_hooks")
 
     def __init__(self) -> None:
         self._now: float = 0.0
         self._heap: List[Tuple[float, int, Callback]] = []
+        #: events due at the current instant, in ``seq`` order
+        self._lane: Deque[Tuple[int, Callback]] = deque()
         self._seq: int = 0
         self._running: bool = False
         self._events_processed: int = 0
@@ -92,7 +105,7 @@ class Engine:
 
     def pending_events(self) -> int:
         """Number of events currently queued."""
-        return len(self._heap)
+        return len(self._heap) + len(self._lane)
 
     # -- scheduling -------------------------------------------------------------
     def schedule(self, delay: float, callback: Callback) -> int:
@@ -102,22 +115,29 @@ class Engine:
         callback after all events already scheduled for the current instant.
         Returns an event id usable with :meth:`cancel`.
         """
-        if not (delay >= 0.0) or math.isinf(delay) or math.isnan(delay):
+        if not 0.0 <= delay < math.inf:
             raise SimulationError(f"invalid delay {delay!r}")
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_at(self, when: float, callback: Callback) -> int:
         """Schedule ``callback`` at absolute virtual time ``when``.
 
-        Returns an event id usable with :meth:`cancel`.
+        ``when`` must be finite and not before :attr:`now`.  Returns an
+        event id usable with :meth:`cancel`.
         """
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past: when={when} < now={self._now}"
-            )
+        # One chained test rejects the past, NaN and +-inf alike.
+        if not self._now <= when < math.inf:
+            if when < self._now:
+                raise SimulationError(
+                    f"cannot schedule into the past: when={when} "
+                    f"< now={self._now}")
+            raise SimulationError(f"invalid event time {when!r}")
         seq = self._seq
-        heapq.heappush(self._heap, (when, seq, callback))
-        self._seq += 1
+        self._seq = seq + 1
+        if when == self._now:
+            self._lane.append((seq, callback))
+        else:
+            heapq.heappush(self._heap, (when, seq, callback))
         return seq
 
     def cancel(self, event_id: int) -> None:
@@ -139,7 +159,8 @@ class Engine:
 
         Returns the final virtual time.  Callbacks may schedule further
         events; the loop continues until quiescence.  Re-entrant calls are
-        rejected: callbacks must not call :meth:`run`.
+        rejected: callbacks must not call :meth:`run`.  ``until`` before
+        :attr:`now` is rejected: the clock never runs backwards.
 
         ``max_events`` (here, or the :attr:`max_events` attribute) bounds
         the number of events one call may dispatch; exceeding it raises
@@ -149,17 +170,30 @@ class Engine:
         """
         if self._running:
             raise SimulationError("Engine.run() is not re-entrant")
+        if until is not None and not until >= self._now:
+            raise SimulationError(
+                f"cannot run until {until}: before now={self._now}")
         cap = max_events if max_events is not None else self.max_events
         dispatched = 0
+        heap, lane, cancelled = self._heap, self._lane, self._cancelled
+        pop_heap, pop_lane = functools.partial(heapq.heappop, heap), lane.popleft
         self._running = True
         try:
-            while self._heap:
-                when, seq, cb = self._heap[0]
-                if seq in self._cancelled:
+            while True:
+                # Heap entries due now, then the lane, then the next instant.
+                if lane and not (heap and heap[0][0] <= self._now):
+                    seq, cb = lane[0]
+                    when, pop = self._now, pop_lane
+                elif heap:
+                    when, seq, cb = heap[0]
+                    pop = pop_heap
+                else:
+                    break
+                if seq in cancelled:
                     # Discard without advancing the clock: a cancelled
                     # deadline must leave no trace in virtual time.
-                    heapq.heappop(self._heap)
-                    self._cancelled.discard(seq)
+                    pop()
+                    cancelled.discard(seq)
                     continue
                 if until is not None and when > until:
                     self._now = until
@@ -168,16 +202,16 @@ class Engine:
                     raise SimulationError(
                         f"Engine.run() dispatched {dispatched} events "
                         f"without quiescing (max_events={cap}); next: "
-                        f"t={when:.9f} with {len(self._heap)} queued — "
+                        f"t={when:.9f} with {self.pending_events()} queued — "
                         f"likely a livelocked (self-rescheduling) callback")
-                heapq.heappop(self._heap)
+                pop()
                 self._now = when
                 self._events_processed += 1
                 dispatched += 1
                 cb()
         finally:
             self._running = False
-        if not self._heap:
+        if not heap and not lane:
             self._quiesce()
         return self._now
 
@@ -186,9 +220,14 @@ class Engine:
 
         Ends like :meth:`run`: an empty queue afterwards is quiescence.
         """
+        heap, lane = self._heap, self._lane
         ran = False
-        while self._heap and not ran:
-            when, seq, cb = heapq.heappop(self._heap)
+        while not ran and (heap or lane):
+            if lane and not (heap and heap[0][0] <= self._now):
+                seq, cb = lane.popleft()
+                when = self._now
+            else:
+                when, seq, cb = heapq.heappop(heap)
             if seq in self._cancelled:
                 self._cancelled.discard(seq)
                 continue
@@ -196,7 +235,7 @@ class Engine:
             self._events_processed += 1
             cb()
             ran = True
-        if not self._heap:
+        if not heap and not lane:
             self._quiesce()
         return ran
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from .engine import Engine
@@ -144,9 +144,9 @@ class AcquireRequest:
     __slots__ = ("resources", "on_grant", "seq", "granted", "released", "label",
                  "request_time", "grant_time", "blocked_on")
 
-    def __init__(self, resources: Sequence[Resource],
+    def __init__(self, resources: Tuple[Resource, ...],
                  on_grant: Callable[[], None], label: str = "") -> None:
-        self.resources = tuple(resources)
+        self.resources = resources
         self.on_grant: Optional[Callable[[], None]] = on_grant
         self.seq = next(_request_seq)
         self.granted = False
@@ -167,7 +167,10 @@ class AcquireRequest:
         return self.grant_time - self.request_time
 
     def _grantable(self) -> bool:
-        return all(r._in_use < r.capacity for r in self.resources)
+        for r in self.resources:
+            if r._in_use >= r.capacity:
+                return False
+        return True
 
     def _grant(self, engine: Engine) -> None:
         self.granted = True
@@ -215,18 +218,21 @@ def acquire(engine: Engine, resources: Sequence[Resource],
 
     Duplicate resources in the set are collapsed (an op never needs two
     slots of the same resource here).  Requests with an empty resource set
-    are granted immediately.
+    are granted immediately.  A tuple without duplicates (the common case:
+    a task's own ``resources``) is used as is, not copied.
     """
-    # Deduplicate while preserving a deterministic order.
-    seen: Dict[int, Resource] = {}
-    for r in resources:
-        seen.setdefault(r._id, r)
-    req = AcquireRequest(tuple(seen.values()), on_grant, label)
+    if resources.__class__ is not tuple:
+        resources = tuple(resources)
+    if len(resources) > 1 and len(set(resources)) < len(resources):
+        # Deduplicate, keeping the first-seen order (deterministic).
+        resources = tuple(dict.fromkeys(resources))
+    req = AcquireRequest(resources, on_grant, label)
     req.request_time = engine.now
     if req._grantable():
         req._grant(engine)
     else:
-        req.blocked_on = tuple(r for r in req.resources if r.free_slots <= 0)
+        req.blocked_on = tuple([r for r in resources
+                                if r._in_use >= r.capacity])
         req.blocked_on[0]._waiters.append(req)
     return req
 

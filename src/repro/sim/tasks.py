@@ -93,6 +93,8 @@ class Task:
 
     Lifecycle: constructed → ``submit()`` → waits on deps → acquires
     resources → runs → completes (action, callbacks, dependents notified).
+    A completed task keeps its timing and names but no longer its
+    ``action``, callbacks or dependents.
     """
 
     __slots__ = ("engine", "name", "duration", "resources", "action",
@@ -118,8 +120,11 @@ class Task:
         self.kind = kind
         self.bytes = bytes
         self._id = next(_task_ids)
-        self._dependents: List[Task] = []
-        self._callbacks: List[Callable[["Task"], None]] = []
+        # ``_dependents``, ``_callbacks`` and ``_deps`` start as None and
+        # become lists on first append: most tasks get no callback, and
+        # none keeps ``_deps`` unless the engine retains the DAG.
+        self._dependents: Optional[List[Task]] = None
+        self._callbacks: Optional[List[Callable[["Task"], None]]] = None
         self.submitted = False
         self.started = False
         self.completed = False
@@ -128,7 +133,7 @@ class Task:
         self.eligible_time: Optional[float] = None
         self._request = None
         self._remaining_deps = 0
-        self._deps: List[Dep] = []
+        self._deps: Optional[List[Dep]] = None
         for d in deps:
             self.add_dep(d)
 
@@ -144,16 +149,24 @@ class Task:
         if self.engine.retain_dag:
             # Already-completed deps are kept too: the latest-finishing dep
             # determines eligibility regardless of when it was attached.
-            self._deps.append(dep)
+            if self._deps is None:
+                self._deps = [dep]
+            else:
+                self._deps.append(dep)
         if dep.completed:
             return
-        dep._dependents.append(self)
+        if dep._dependents is None:
+            dep._dependents = [self]
+        else:
+            dep._dependents.append(self)
         self._remaining_deps += 1
 
     def on_complete(self, fn: Callable[["Task"], None]) -> None:
         """Register a completion callback (fires after ``action``)."""
         if self.completed:
             fn(self)
+        elif self._callbacks is None:
+            self._callbacks = [fn]
         else:
             self._callbacks.append(fn)
 
@@ -183,7 +196,7 @@ class Task:
     @property
     def deps(self) -> Sequence[Dep]:
         """The recorded dependencies (empty unless ``engine.retain_dag``)."""
-        return tuple(self._deps)
+        return () if self._deps is None else tuple(self._deps)
 
     @property
     def queue_wait(self) -> float:
@@ -211,18 +224,27 @@ class Task:
     def _finish(self) -> None:
         assert self._request is not None
         self._request.release()
+        engine = self.engine
         self.completed = True
-        self.completion_time = self.engine.now
-        if self.action is not None:
-            self.action()
-        for hook in self.engine.task_finished_hooks:
+        self.completion_time = engine.now
+        # A finished task drops its action (and the closure cells it pins):
+        # tasks outlive their round as stream tails and in instruments.
+        action = self.action
+        if action is not None:
+            self.action = None
+            action()
+        for hook in engine.task_finished_hooks:
             hook(self)
-        for cb in self._callbacks:
-            cb(self)
-        self._callbacks = []
-        dependents, self._dependents = self._dependents, []
-        for t in dependents:
-            t._dep_completed(self.engine)
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            for cb in callbacks:
+                cb(self)
+        dependents = self._dependents
+        if dependents is not None:
+            self._dependents = None
+            for t in dependents:
+                t._dep_completed(engine)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = ("done" if self.completed else

@@ -111,6 +111,32 @@ def test_uncovered_halo_detected():
     assert "uncovered-halo" in kinds(analyze_graph(g))
 
 
+def one_sided_domain(precheck):
+    # The +x neighbour fills the -x halo only: send direction (1, 0, 0),
+    # receive side (-1, 0, 0).
+    cluster = repro.SimCluster.create(repro.summit_machine(1),
+                                      precheck=precheck)
+    world = repro.MpiWorld.create(cluster, 6)
+    return repro.DistributedDomain(world, size=Dim3(18, 12, 12),
+                                   radius=Radius(1, 0, 0, 0, 0, 0),
+                                   boundary="fixed").realize()
+
+
+def test_one_sided_radius_realizes_under_precheck():
+    dd = one_sided_domain(precheck=True)
+    assert dd.plan is not None
+    report = analyze_graph(graph_for_domain(dd))
+    assert report.ok, report.summary()
+
+
+def test_one_sided_radius_missing_sender_is_uncovered():
+    g = graph_for_domain(one_sided_domain(precheck=False))
+    assert g.edges and {e.recv_direction for e in g.edges} == {(-1, 0, 0)}
+    g.edges = g.edges[1:]                       # drop one one-sided sender
+    rebuild_messages(g)
+    assert kinds(analyze_graph(g)) == {"uncovered-halo"}
+
+
 def test_multi_sourced_halo_detected():
     g = static_graph("2n/1r/2g/128", "+direct")
     g.edges = [g.edges[0]] + g.edges            # duplicate one transfer

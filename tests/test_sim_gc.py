@@ -8,6 +8,7 @@ a cycle that creeps back in shows up as a non-zero count.
 
 import contextlib
 import gc
+import types
 
 from repro.bench.config import parse_config
 from repro.bench.harness import build_domain
@@ -50,3 +51,21 @@ def test_exchange_round_leaves_no_cyclic_garbage():
     with collector_paused():
         dd.exchange()
         assert gc.collect() == 0
+
+
+def test_finished_stream_tails_keep_no_action_or_lists():
+    """A stream's tail outlives its round; once finished it must not pin
+    its action's closure or its (spent) dependents and callbacks lists."""
+    dd, cluster = build_domain(parse_config("1n/2r/6g/96"), data_mode=True,
+                               sanitize=False, metrics=False, precheck=False)
+    dd.exchange()
+    dd.exchange()
+    tails = [s.tail for d in cluster.all_devices() for s in d.streams
+             if s.tail is not None]
+    assert {t.kind for t in tails} >= {"unpack", "peer"}
+    for t in tails:
+        assert t.completed and t.action is None
+        held = [r for r in gc.get_referents(t)
+                if isinstance(r, (types.FunctionType, types.MethodType,
+                                  list))]
+        assert held == [], (t.name, held)

@@ -60,6 +60,27 @@ class TestBasics:
         t.on_complete(lambda task: seen.append("late"))
         assert seen == ["t", "late"]
 
+    def test_deps_empty_without_retain_dag(self):
+        eng = Engine()
+        a = make(eng, "a", 1.0)
+        b = make(eng, "b", 1.0, deps=[a])
+        eng.run()
+        assert a.deps == () and b.deps == ()
+
+    def test_deps_retained_with_retain_dag(self):
+        eng = Engine()
+        eng.retain_dag = True
+        done = make(eng, "done", 1.0)
+        eng.run()
+        sig = Signal("s")
+        a = make(eng, "a", 1.0)
+        b = make(eng, "b", 1.0, deps=[done, a, sig])
+        assert b.deps == (done, a, sig)     # the completed dep is kept too
+        sig.fire(eng)
+        eng.run()
+        assert b.completed and b.deps == (done, a, sig)
+        assert a.deps == ()
+
     def test_negative_duration_rejected(self):
         with pytest.raises(SimulationError):
             Task(Engine(), name="t", duration=-1.0)
